@@ -8,7 +8,8 @@
  * plus an add per retirement, so enabling it must be nearly free —
  * the gate holds the measured overhead at or under 5% for both
  * dispatch modes (interpreted and compiled), measured as the ratio of
- * best-of-N wall times over the same generated test set. Two
+ * best-of-N wall times over the same generated test set, with the N
+ * repetitions interleaved across configurations. Two
  * correctness properties ride along: with timing on, interpreted and
  * compiled dispatch must report the same nonzero cycle total (the
  * model is dispatch-invariant), and with timing off every snapshot
@@ -57,26 +58,24 @@ struct Measurement
     u64 cycles = 0; ///< Summed over all runs of one repetition.
 };
 
-/** Best-of-@p reps wall time for the whole test set on one backend. */
-Measurement
-measure(harness::TestRunner &runner, harness::Backend backend,
-        const std::vector<testgen::TestProgram> &programs, u64 reps)
+/** One timed pass of the whole test set on one backend, folded into
+ *  @p m as best-of. */
+void
+measure_pass(harness::TestRunner &runner, harness::Backend backend,
+             const std::vector<testgen::TestProgram> &programs,
+             bool first, Measurement &m)
 {
-    Measurement m;
     harness::BackendRun run;
-    for (u64 r = 0; r < reps; ++r) {
-        u64 cycles = 0;
-        const auto t0 = std::chrono::steady_clock::now();
-        for (const testgen::TestProgram &program : programs) {
-            runner.run_one_into(backend, program.code, run);
-            cycles += run.snapshot.cycles;
-        }
-        const double t = seconds_since(t0);
-        if (r == 0 || t < m.best_seconds)
-            m.best_seconds = t;
-        m.cycles = cycles;
+    u64 cycles = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const testgen::TestProgram &program : programs) {
+        runner.run_one_into(backend, program.code, run);
+        cycles += run.snapshot.cycles;
     }
-    return m;
+    const double t = seconds_since(t0);
+    if (first || t < m.best_seconds)
+        m.best_seconds = t;
+    m.cycles = cycles;
 }
 
 double
@@ -124,32 +123,35 @@ main(int argc, char **argv)
     struct Config
     {
         const char *name;
-        hifi::CompiledExec compiled;
+        bool compiled;
         bool timing;
         harness::Backend backend;
     };
     const Config configs[] = {
-        {"interp_off", hifi::CompiledExec::Off, false,
-         harness::Backend::HiFi},
-        {"interp_on", hifi::CompiledExec::Off, true,
-         harness::Backend::HiFi},
-        {"compiled_off", hifi::CompiledExec::On, false,
-         harness::Backend::HiFi},
-        {"compiled_on", hifi::CompiledExec::On, true,
-         harness::Backend::HiFi},
-        {"lofi_off", hifi::CompiledExec::Off, false,
-         harness::Backend::LoFi},
-        {"lofi_on", hifi::CompiledExec::Off, true,
-         harness::Backend::LoFi},
+        {"interp_off", false, false, harness::Backend::HiFi},
+        {"interp_on", false, true, harness::Backend::HiFi},
+        {"compiled_off", true, false, harness::Backend::HiFi},
+        {"compiled_on", true, true, harness::Backend::HiFi},
+        {"lofi_off", false, false, harness::Backend::LoFi},
+        {"lofi_on", false, true, harness::Backend::LoFi},
     };
-    Measurement results[6];
-    for (int c = 0; c < 6; ++c) {
+    // Repetitions are interleaved across configurations, so a slow
+    // stretch of the host hits every configuration's samples alike
+    // instead of one configuration's whole best-of-N.
+    std::vector<harness::TestRunner> runners;
+    runners.reserve(6);
+    for (const Config &config : configs) {
         harness::TestRunner::Config cfg;
-        cfg.hifi_options.compiled = configs[c].compiled;
-        cfg.timing = configs[c].timing;
-        harness::TestRunner runner(cfg);
-        results[c] =
-            measure(runner, configs[c].backend, programs, reps);
+        cfg.hifi_options.compiled = config.compiled;
+        cfg.timing = config.timing;
+        runners.emplace_back(cfg);
+    }
+    Measurement results[6];
+    for (u64 r = 0; r < reps; ++r) {
+        for (int c = 0; c < 6; ++c) {
+            measure_pass(runners[c], configs[c].backend, programs,
+                         r == 0, results[c]);
+        }
     }
 
     const double interp_overhead = overhead(results[0], results[1]);

@@ -9,11 +9,11 @@
  *    EXPERIMENTS.md quotes);
  *  - concrete replay wall-clock: every program is interpreted from
  *    many deterministic pseudo-random initial states, original vs
- *    optimized (the OptMode::On stage-4 speedup, isolated from the
- *    rest of the pipeline);
- *  - translation validation wall-clock: the OptMode::Validated cost of
- *    proving each (original, optimized) pair with the solver, plus the
- *    failure count.
+ *    optimized (the replay speedup the compiled handlers inherit, as
+ *    they are generated from optimized programs);
+ *  - translation validation wall-clock: the cost of proving each
+ *    (original, optimized) pair with the solver, plus the failure
+ *    count (the check ir_equiv_all runs in CI).
  *
  * The smoke ctest run gates the optimizer contract: strictly positive
  * statement reduction over the workload, byte-identical replay outputs
@@ -224,7 +224,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(steps_optimized),
                 static_cast<unsigned long long>(replay_mismatches));
 
-    // Phase 3: translation validation (the OptMode::Validated cost).
+    // Phase 3: translation validation (what ir_equiv_all runs).
     u64 validated = 0;
     u64 proven = 0;
     u64 validation_failures = 0;

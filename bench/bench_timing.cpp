@@ -22,7 +22,7 @@
  *     over identical flat-array worlds — the concrete-replay hot path
  *     in isolation (floor 5x, target 10x);
  *   - end to end: the Hi-Fi backend re-executing a generated test set
- *     with CompiledExec Off vs On (fetch/decode/dispatch included).
+ *     with compiled replay off vs on (fetch/decode/dispatch included).
  *
  * The smoke ctest run gates the contract: the compiled path must be
  * at least as fast as the interpreter on the microbench, and both
@@ -216,7 +216,7 @@ main(int argc, char **argv)
 
     // ------------------------------------------------------------------
     // End to end: Hi-Fi backend re-executing a generated test set,
-    // CompiledExec Off vs On (fetch, IR decode and dispatch included).
+    // compiled replay off vs on (fetch, IR decode and dispatch included).
     // ------------------------------------------------------------------
     std::vector<testgen::TestProgram> programs;
     double t_e6_table = 0;
@@ -250,7 +250,7 @@ main(int argc, char **argv)
     {
         harness::TestRunner::Config cfg;
         harness::TestRunner off_runner(cfg);
-        cfg.hifi_options.compiled = hifi::CompiledExec::On;
+        cfg.hifi_options.compiled = true;
         harness::TestRunner on_runner(cfg);
         harness::BackendRun run;
         auto t0 = std::chrono::steady_clock::now();

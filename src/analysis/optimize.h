@@ -37,9 +37,11 @@
  * preconditions). Path *structure* is not preserved: the optimized
  * program generally has fewer branches and concretization points, so
  * it must not be used where the decision-tree shape or the seeded
- * exploration stream matters (see OptMode). equiv.h provides the
- * matching translation validator that proves the equivalence per
- * program with the solver.
+ * exploration stream matters: exploration always runs the builder
+ * original, and only the compiled handlers (hifi/compiled.h) are
+ * generated from optimized programs. equiv.h provides the matching
+ * translation validator that proves the equivalence per program with
+ * the solver (the ir_equiv_all CI check).
  */
 #ifndef POKEEMU_ANALYSIS_OPTIMIZE_H
 #define POKEEMU_ANALYSIS_OPTIMIZE_H
@@ -48,27 +50,6 @@
 #include "ir/stmt.h"
 
 namespace pokeemu::analysis {
-
-/**
- * How consumers run optimized IR (threaded from the campaign driver
- * down through pokeemu::PipelineOptions, explore::StateExploreOptions
- * and hifi::SemanticsOptions):
- *
- *  - Off: every consumer interprets the original builder output.
- *  - On: concrete replay (the hifi backend) and standalone
- *    explorations run the optimized program. Stage-2 pipeline
- *    exploration always stays on the original IR so the decision
- *    tree, the seeded rng stream and the concretization choices —
- *    and therefore the generated tests — are bit-identical to Off.
- *  - Validated: like On, but every (original, optimized) pair is
- *    first proven equivalent by the translation validator (equiv.h);
- *    a counterexample quarantines the unit and replay falls back to
- *    the original program.
- */
-enum class OptMode : u8 { Off, On, Validated };
-
-/** Printable mode name, e.g. "validated". */
-const char *opt_mode_name(OptMode mode);
 
 /** Knobs for one optimization run. */
 struct OptConfig

@@ -11,20 +11,10 @@
 #include <atomic>
 #include <stdexcept>
 
+#include "analysis/optimize.h"
 #include "ir/printer.h"
 
 namespace pokeemu::hifi {
-
-const char *
-compiled_exec_name(CompiledExec mode)
-{
-    switch (mode) {
-      case CompiledExec::Off: return "off";
-      case CompiledExec::On: return "on";
-      case CompiledExec::CrossCheck: return "crosscheck";
-    }
-    return "?";
-}
 
 bool
 compiled_params_ok(arch::Op op)
@@ -45,7 +35,6 @@ compiled_build_options(bool params_ok)
     SemanticsOptions options;
     options.hifi_far_fetch_order = true; // The seeded Bochs order.
     options.descriptor_summary = nullptr; // Self-contained programs.
-    options.opt = analysis::OptMode::On;
     options.generic_params = params_ok;
     return options;
 }
@@ -91,6 +80,20 @@ variant_encoding(int table_index)
     return bytes;
 }
 
+namespace {
+
+/** A unit's program: the builder output under the fixed compiled
+ *  options, optimized (handlers run the optimized IR). */
+ir::Program
+build_unit_program(const arch::DecodedInsn &insn, bool params_ok)
+{
+    return analysis::optimize_program(
+               build_semantics(insn, compiled_build_options(params_ok)))
+        .program;
+}
+
+} // namespace
+
 std::vector<CompiledUnit>
 build_compiled_units()
 {
@@ -110,8 +113,7 @@ build_compiled_units()
         CompiledUnit unit;
         unit.insn = insn;
         unit.params_ok = compiled_params_ok(insn.desc->op);
-        unit.program =
-            build_semantics(insn, compiled_build_options(unit.params_ok));
+        unit.program = build_unit_program(insn, unit.params_ok);
         units.push_back(std::move(unit));
 
         const std::vector<u8> mem = variant_encoding(index);
@@ -125,8 +127,7 @@ build_compiled_units()
         CompiledUnit mu;
         mu.insn = minsn;
         mu.params_ok = compiled_params_ok(minsn.desc->op);
-        mu.program =
-            build_semantics(minsn, compiled_build_options(mu.params_ok));
+        mu.program = build_unit_program(minsn, mu.params_ok);
         mu.variant = true;
         units.push_back(std::move(mu));
     }
@@ -162,7 +163,6 @@ hash_u64(u64 &h, u64 v)
 }
 
 std::atomic<u64> g_hash_override{0};
-std::atomic<bool> g_force_mismatch{false};
 
 } // namespace
 
@@ -211,18 +211,6 @@ void
 compiled_test_override_hash(u64 hash)
 {
     g_hash_override.store(hash);
-}
-
-void
-compiled_test_force_mismatch(bool on)
-{
-    g_force_mismatch.store(on);
-}
-
-bool
-compiled_test_mismatch_forced()
-{
-    return g_force_mismatch.load();
 }
 
 // ---------------------------------------------------------------------

@@ -3,7 +3,7 @@
  * Build-time compiled semantics handlers for concrete replay.
  *
  * tools/semgen loads every instruction row's semantics program (built
- * with the fixed options below, optimizer on), lowers it to a
+ * with the fixed options below, then optimized), lowers it to a
  * straight-line/branchy C++ function over the ir::ConcreteMemory
  * interface, and emits one handler per unit plus the dispatch table
  * returned by compiled_table() — the WinUAE gencpu shape
@@ -119,7 +119,8 @@ const CompiledEntry *compiled_find(const arch::DecodedInsn &insn);
  */
 bool compiled_params_ok(arch::Op op);
 
-/** The fixed options every compiled unit is built with. The emulator
+/** The fixed builder options every compiled unit is built with
+ *  (build_compiled_units then optimizes the program). The emulator
  *  only dispatches to handlers when its own options agree on the one
  *  behavioral knob (hifi_far_fetch_order). */
 SemanticsOptions compiled_build_options(bool params_ok);
@@ -145,11 +146,13 @@ struct CompiledUnit
 std::vector<u8> variant_encoding(int table_index);
 
 /** Build every compiled unit, in table order (canonical first, then
- *  the memform variant when one exists). */
+ *  the memform variant when one exists). Each program is the
+ *  optimized (analysis::optimize_program) builder output. */
 std::vector<CompiledUnit> build_compiled_units();
 
-/** Process-wide lazily-built units (shared by the CrossCheck
- *  interpreter reference and the staleness guard). */
+/** Process-wide lazily-built units (the staleness guard's input;
+ *  also read by the semgen_crosscheck_all and timing_crosscheck_all
+ *  checks). */
 const std::vector<CompiledUnit> &compiled_units();
 
 /** Hash over every unit's shape + printed program; must equal the
@@ -161,9 +164,6 @@ u64 compiled_expected_hash();
 /** Override the expected hash (0 = disabled) so the staleness guard
  *  can be exercised without corrupting a real table. */
 void compiled_test_override_hash(u64 hash);
-/** Force CrossCheck to report divergence on every compiled step. */
-void compiled_test_force_mismatch(bool on);
-bool compiled_test_mismatch_forced();
 /// @}
 
 /**

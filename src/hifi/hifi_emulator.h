@@ -64,7 +64,7 @@ class HiFiEmulator : public ir::ConcreteMemory
     u64 cycle_count() const { return cycles_; }
 
     /// @name Compiled-semantics dispatch accounting (since
-    /// construction; SemanticsOptions::compiled selects the mode).
+    /// construction; SemanticsOptions::compiled turns dispatch on).
     /// @{
     u64 compiled_hits() const { return compiled_hits_; }
     u64 compiled_misses() const { return compiled_misses_; }
@@ -82,11 +82,9 @@ class HiFiEmulator : public ir::ConcreteMemory
     u8 *resolve(u32 addr);
 
     /** Dispatch @p insn to its generated handler if one matches.
-     *  Returns true when the instruction was fully executed (On) or
-     *  executed and cross-checked (CrossCheck); false on a table miss
-     *  (caller falls back to the interpreter). Throws
-     *  FaultError(CodegenMismatch) on a stale table or a CrossCheck
-     *  divergence. */
+     *  Returns true when the instruction was executed; false on a
+     *  table miss (caller falls back to the interpreter). Throws
+     *  FaultError(CodegenMismatch) on a stale table. */
     bool step_compiled(const arch::DecodedInsn &insn);
 
     /// @name Cycle charging (mirrors DirectCpu::charge*: identical

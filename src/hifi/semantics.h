@@ -23,7 +23,6 @@
 #ifndef POKEEMU_HIFI_SEMANTICS_H
 #define POKEEMU_HIFI_SEMANTICS_H
 
-#include "analysis/optimize.h"
 #include "arch/decoder.h"
 #include "arch/layout.h"
 #include "ir/stmt.h"
@@ -44,16 +43,6 @@ halt_exception_code(u8 vector)
 }
 /// @}
 
-/**
- * How HiFiEmulator executes semantics for concrete replay
- * (hifi/compiled.h): interpret the IR, dispatch to the build-time
- * compiled handler (interpreter fallback for uncompiled encodings), or
- * run both and fault on divergence (FaultClass::CodegenMismatch).
- */
-enum class CompiledExec : u8 { Off, On, CrossCheck };
-
-const char *compiled_exec_name(CompiledExec mode);
-
 /** Options controlling semantics generation. */
 struct SemanticsOptions
 {
@@ -71,18 +60,13 @@ struct SemanticsOptions
      */
     const symexec::Summary *descriptor_summary = nullptr;
 
-    /**
-     * Run the IR optimizer (analysis/optimize.h) over the built
-     * program. At this level Validated behaves like On — validation
-     * needs an exploration environment and happens in the pipeline
-     * (pokeemu/pipeline.h), which only threads On/Off down here.
-     */
-    analysis::OptMode opt = analysis::OptMode::Off;
-
-    /** Concrete-replay execution mode (used by HiFiEmulator, not by
-     *  the builder itself; carried here so one options struct threads
-     *  through runner/pipeline/campaign). */
-    CompiledExec compiled = CompiledExec::Off;
+    /** Concrete replay through the build-time compiled handlers
+     *  (hifi/compiled.h) instead of the IR interpreter; encodings
+     *  without a handler fall back to interpretation. Used by
+     *  HiFiEmulator, not by the builder itself; carried here so one
+     *  options struct threads through runner/pipeline/campaign. Final
+     *  states equal the interpreter's (semgen_crosscheck_all). */
+    bool compiled = false;
 
     /** Accumulate per-run cycle totals (timing/cost_model.h). Like
      *  `compiled`, consumed by HiFiEmulator only: it never changes

@@ -926,7 +926,7 @@ Ctx::build()
     if (opt_.generic_params) {
         // Entry-block param loads so every later use is dominated.
         // Unused ones are constant-address loads the optimizer's DCE
-        // removes (compiled units always build with opt = On).
+        // removes (build_compiled_units optimizes every unit).
         imm_param_ = b_.load(imm32(param_block::kImm), 4,
                              ir::ConcretizePolicy::SingleRandom,
                              "imm param");
@@ -945,10 +945,7 @@ build_semantics(const arch::DecodedInsn &insn,
 {
     assert(insn.desc);
     Ctx ctx(insn, options);
-    ir::Program program = ctx.build();
-    if (options.opt != analysis::OptMode::Off)
-        program = analysis::optimize_program(program).program;
-    return program;
+    return ctx.build();
 }
 
 } // namespace pokeemu::hifi

@@ -38,15 +38,11 @@ build_sequence_semantics(const std::vector<arch::DecodedInsn> &insns,
     const u32 num_parts = static_cast<u32>(insns.size());
 
     // Build all per-instruction programs first so every offset is
-    // known up front. Parts are stitched unoptimized; the optimizer
-    // runs once over the composed program below, where it also sees
-    // cross-instruction dead code.
-    SemanticsOptions part_options = options;
-    part_options.opt = analysis::OptMode::Off;
+    // known up front.
     std::vector<Program> parts;
     parts.reserve(num_parts);
     for (const auto &insn : insns)
-        parts.push_back(build_semantics(insn, part_options));
+        parts.push_back(build_semantics(insn, options));
 
     Program out;
     out.name = "sequence";
@@ -161,8 +157,6 @@ build_sequence_semantics(const std::vector<arch::DecodedInsn> &insns,
     }
 
     out.validate();
-    if (options.opt != analysis::OptMode::Off)
-        out = analysis::optimize_program(out).program;
     return out;
 }
 

@@ -18,7 +18,6 @@
 #define POKEEMU_POKEEMU_PIPELINE_H
 
 #include <optional>
-#include <set>
 
 #include "explore/insn_explorer.h"
 #include "explore/state_explorer.h"
@@ -52,33 +51,16 @@ struct PipelineOptions
     std::size_t max_instructions = 0;
     bool use_descriptor_summary = true;
     bool minimize = true;
-    /** Static branch pruning for stage-2 feasibility probes (see
-     *  analysis::PruneMode). Path sets and schedules are identical in
-     *  every mode; only the queries/avoided split in the stats moves,
-     *  which is why the mode is part of the options fingerprint. */
-    analysis::PruneMode prune = analysis::PruneMode::On;
     /**
-     * IR optimizer mode (analysis/optimize.h). Stage-2 exploration
-     * always runs the builder-original semantics, so the generated
-     * tests — and therefore the difference clusters — are identical
-     * in every mode. On optimizes each unit's semantics once to
-     * record statement-reduction stats and replays stage-4 Hi-Fi
-     * execution on optimized IR; Validated additionally proves each
-     * unit's (original, optimized) pair equivalent with the solver
-     * (analysis/equiv.h), quarantining any counterexample and
-     * replaying that unit's tests on the original program instead.
+     * Stage-4 Hi-Fi replay through the build-time compiled handlers
+     * (hifi/compiled.h) instead of the IR interpreter; unmatched
+     * encodings fall back to interpretation. Final states — and
+     * therefore reports — equal the interpreter's (proven per unit by
+     * the semgen_crosscheck_all check). Off by default: the staleness
+     * guard builds and keeps all 544 unit programs on first use, about
+     * 12 MB more peak RSS on a full-table campaign (DESIGN.md §15).
      */
-    analysis::OptMode opt = analysis::OptMode::Off;
-    /**
-     * Compiled-semantics execution for stage-4 Hi-Fi replay
-     * (hifi/compiled.h). On dispatches each instruction to its
-     * build-time generated native handler (interpreter fallback for
-     * unmatched encodings); CrossCheck additionally interprets the
-     * handler's source program and quarantines any divergence as
-     * FaultClass::CodegenMismatch. Final states — and therefore
-     * reports — are identical in every mode.
-     */
-    hifi::CompiledExec compiled = hifi::CompiledExec::Off;
+    bool compiled = false;
     /**
      * Cycle-fidelity model (timing/cost_model.h, DESIGN.md §16). On
      * enables cycle accounting on all three backends and compares
@@ -142,14 +124,6 @@ struct PipelineStats
     u64 truncated_path_cap = 0;
     u64 truncated_deadline = 0;
     u64 truncated_step_limit = 0;
-    /** IR optimizer accounting (all zero when OptMode::Off, which
-     *  keeps the Off report byte-identical to pre-optimizer output).
-     *  Statement counts are per-unit semantics totals summed over
-     *  explored units. */
-    u64 opt_stmts_before = 0;
-    u64 opt_stmts_after = 0;
-    u64 opt_units_validated = 0; ///< Proven-equivalent units.
-    u64 opt_validation_failures = 0; ///< Counterexamples (fallback).
     // Stage 3.
     u64 test_programs = 0;
     u64 generation_failures = 0;
@@ -158,7 +132,7 @@ struct PipelineStats
     /** Compiled-dispatch accounting (hifi/compiled.h): instructions
      *  retired by a generated handler vs. interpreter fallbacks.
      *  Deliberately absent from to_string() so reports stay
-     *  byte-identical across CompiledExec modes. */
+     *  byte-identical with compiled replay on or off. */
     u64 compiled_hits = 0;
     u64 compiled_misses = 0;
     u64 lofi_raw_diffs = 0;  ///< Lo-Fi vs hardware, before filtering.
@@ -211,7 +185,6 @@ struct PipelineStats
     double t_execution_lofi = 0;
     double t_execution_hw = 0;
     double t_comparison = 0;
-    double t_validation = 0; ///< Optimizer + translation validation.
 
     /** Stage-2 units whose exploration a solver timeout cut short
      *  (they carry no CheckpointUnit; the quarantine ledger is the
@@ -300,9 +273,6 @@ class Pipeline
      *  sibling paths of the same instruction re-checking shared
      *  path-condition prefixes. */
     solver::QueryMemo memo_;
-    /** Table indices whose Validated-mode check found a counterexample;
-     *  their stage-4 Hi-Fi replay falls back to the original program. */
-    std::set<int> opt_fallback_;
     Checkpoint checkpoint_;              ///< Progress being built.
     std::optional<Checkpoint> resumed_;  ///< Loaded prior progress.
     /** Stage-2 entries from the resumed ledger. Re-attempted units

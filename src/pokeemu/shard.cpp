@@ -274,10 +274,6 @@ merge_outcomes(CampaignResult &result, const ShardPlan &plan,
         m.solver_queries_avoided += st.solver_queries_avoided;
         m.minimize_bits_before += st.minimize_bits_before;
         m.minimize_bits_after += st.minimize_bits_after;
-        m.opt_stmts_before += st.opt_stmts_before;
-        m.opt_stmts_after += st.opt_stmts_after;
-        m.opt_units_validated += st.opt_units_validated;
-        m.opt_validation_failures += st.opt_validation_failures;
         m.covered_blocks += st.covered_blocks;
         m.total_blocks += st.total_blocks;
         m.covered_edges += st.covered_edges;
@@ -307,6 +303,16 @@ merge_outcomes(CampaignResult &result, const ShardPlan &plan,
         m.lofi_timing_divergences += st.lofi_timing_divergences;
         m.hifi_timing_divergences += st.hifi_timing_divergences;
         m.budget_incomplete += st.budget_incomplete;
+        // Stage timings: each shard's seconds per stage, summed (with
+        // parallel shards the sum can exceed wall_seconds). Never part
+        // of report(), which stays byte-identical.
+        m.t_insn_exploration += st.t_insn_exploration;
+        m.t_state_exploration += st.t_state_exploration;
+        m.t_generation += st.t_generation;
+        m.t_execution_hifi += st.t_execution_hifi;
+        m.t_execution_lofi += st.t_execution_lofi;
+        m.t_execution_hw += st.t_execution_hw;
+        m.t_comparison += st.t_comparison;
         // Session-scoped counters (budget_retries, units_resumed,
         // tests_resumed, checkpoints_written) are layout-dependent by
         // nature and deliberately left out of the merged stats.
@@ -431,6 +437,7 @@ run_campaign(const CampaignOptions &options)
     }
 
     Workload workload = resolve_workload(options.pipeline);
+    const double t_insn_exploration = seconds_since(t_start);
     const ShardPlan plan =
         plan_shards(workload.order, options.shards);
 
@@ -496,6 +503,8 @@ run_campaign(const CampaignOptions &options)
     }
 
     merge_outcomes(result, plan, std::move(workload));
+    // Stage 1 runs driver-side, in resolve_workload.
+    result.merged.t_insn_exploration += t_insn_exploration;
     result.merged_checkpoint.fingerprint =
         options_fingerprint(resolved);
     if (!options.checkpoint_dir.empty()) {
@@ -564,25 +573,6 @@ CampaignResult::report() const
            << std::setprecision(6);
     }
     os << "\n";
-    if (m.opt_stmts_before != 0) {
-        // Per-unit optimizer results are deterministic, so these sums
-        // are byte-identical for any shard count (t_validation is
-        // wall clock and deliberately absent here).
-        const double reduction = 100.0 *
-            (1.0 - static_cast<double>(m.opt_stmts_after) /
-                 static_cast<double>(m.opt_stmts_before));
-        os << "IR optimizer: " << m.opt_stmts_before << " -> "
-           << m.opt_stmts_after << " statements (" << std::fixed
-           << std::setprecision(1) << reduction << "% reduction)"
-           << std::defaultfloat << std::setprecision(6);
-        if (m.opt_units_validated || m.opt_validation_failures) {
-            os << "; validation: " << m.opt_units_validated
-               << " units proven equivalent, "
-               << m.opt_validation_failures
-               << " replaying the original";
-        }
-        os << "\n";
-    }
     os << "minimization: " << m.minimize_bits_before
        << " differing bits -> " << m.minimize_bits_after << "\n";
     os << "test programs: " << m.test_programs << " ("

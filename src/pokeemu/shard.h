@@ -95,8 +95,9 @@ struct CampaignResult
     u32 shards = 0;
     u64 sessions = 0;      ///< Total sessions across shards.
     double wall_seconds = 0;
-    /** Merged, renumbered, layout-invariant stats (timings and
-     *  session-scoped counters are left zero). */
+    /** Merged, renumbered, layout-invariant stats. Stage timings
+     *  (t_*) are summed over shards, stage 1's taken driver-side;
+     *  session-scoped counters are left zero. */
     PipelineStats merged;
     /** Merged checkpoint in campaign order with campaign-global test
      *  ids; also written to checkpoint_dir as campaign.ckpt. */

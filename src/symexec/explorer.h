@@ -28,7 +28,6 @@
 #include <optional>
 
 #include "analysis/dataflow.h"
-#include "analysis/optimize.h"
 #include "coverage/coverage.h"
 #include "ir/stmt.h"
 #include "solver/solver.h"
@@ -103,17 +102,6 @@ struct ExplorerConfig
      * solver dispatch for the probe differs.
      */
     analysis::PruneMode prune = analysis::PruneMode::On;
-    /**
-     * Run the IR optimizer (analysis/optimize.h) over the program and
-     * explore the optimized copy (owned by the explorer). Validated
-     * behaves like On here. Incompatible with `facts`, `coverage` and
-     * `policy`, which were necessarily built against the original
-     * program's statement indices — the constructor asserts they are
-     * null. Callers that want facts or coverage over optimized IR
-     * optimize first (hifi::SemanticsOptions::opt) and pass the
-     * optimized program in directly.
-     */
-    analysis::OptMode opt = analysis::OptMode::Off;
 };
 
 /** How one explored path terminated. */
@@ -287,9 +275,6 @@ class PathExplorer
 
     void refresh_model();
 
-    /** Optimized copy when config.opt != Off (program_ points here);
-     *  empty otherwise. Declared first so program_ can reference it. */
-    ir::Program opt_storage_;
     const ir::Program &program_;
     VarPool &pool_;
     InitialByteFn initial_;

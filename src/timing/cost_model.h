@@ -18,7 +18,7 @@
  * per-memory-access increment for every Load/Store that can reach
  * guest physical memory, plus a fault-path surcharge for units that
  * can raise an exception. Derivation walks the same canonical
- * programs semgen compiles (compiled_build_options, optimizer on), so
+ * programs semgen compiles (build_compiled_units, optimized), so
  * symbolic exploration, the interpreter, and the generated native
  * handlers all observe identical accounting — and tools/semgen emits
  * the very table it compiled against (compiled_cost_table), folded
@@ -28,10 +28,11 @@
  * The model is deliberately *static per (row, operand form)*: equal
  * retired instruction sequences always charge equal cycles, so with
  * no timing defect seeded the backends agree cycle-for-cycle and the
- * merged campaign report stays byte-identical across shard counts,
- * OptMode and CompiledExec (optimized and unoptimized programs
- * execute different statement counts; charging dynamically would
- * leak the mode into the report).
+ * merged campaign report stays byte-identical across shard counts
+ * and with compiled replay off or on (the compiled handlers run
+ * optimized programs, which execute fewer statements than the
+ * interpreted originals; charging dynamically would leak the
+ * execution path into the report).
  *
  * Every derived cost component is even by construction, so a
  * systematic halving defect (defects: half_cycle_accounting) divides

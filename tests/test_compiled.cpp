@@ -2,9 +2,9 @@
  * @file
  * Compiled-semantics tests (hifi/compiled.h + the semgen-generated
  * table): table freshness, handler-vs-interpreter agreement including
- * the retired-statement count, byte-identical pipeline reports across
- * CompiledExec modes and shard counts, and the CodegenMismatch
- * quarantine paths (forced CrossCheck divergence, stale-table guard).
+ * the retired-statement count, byte-identical pipeline reports with
+ * compiled replay off and on and across shard counts, and the
+ * CodegenMismatch quarantine of a stale table.
  * The exhaustive per-unit differential sweep is the
  * semgen_crosscheck_all ctest (tools/semgen_check.cpp); here a sample
  * keeps unit-suite latency low.
@@ -127,22 +127,17 @@ TEST(CompiledPipeline, ReportByteIdenticalAcrossModes)
     const CampaignResult off = run_campaign(options);
     EXPECT_EQ(off.merged.compiled_hits, 0u);
 
-    options.pipeline.compiled = hifi::CompiledExec::On;
+    options.pipeline.compiled = true;
     const CampaignResult on = run_campaign(options);
     EXPECT_EQ(on.report(), off.report());
     EXPECT_GT(on.merged.compiled_hits, 0u);
-
-    options.pipeline.compiled = hifi::CompiledExec::CrossCheck;
-    const CampaignResult crosscheck = run_campaign(options);
-    EXPECT_EQ(crosscheck.report(), off.report());
-    EXPECT_GT(crosscheck.merged.compiled_hits, 0u);
-    EXPECT_EQ(crosscheck.merged.quarantine.total(), 0u);
+    EXPECT_EQ(on.merged.quarantine.total(), 0u);
 }
 
 TEST(CompiledPipeline, ReportByteIdenticalAcrossShardCounts)
 {
     CampaignOptions options = base_campaign();
-    options.pipeline.compiled = hifi::CompiledExec::On;
+    options.pipeline.compiled = true;
     const std::string reference = run_campaign(options).report();
     for (u32 shards : {2u, 4u}) {
         options.shards = shards;
@@ -152,28 +147,10 @@ TEST(CompiledPipeline, ReportByteIdenticalAcrossShardCounts)
     }
 }
 
-TEST(CompiledPipeline, ForcedCrossCheckDivergenceQuarantines)
-{
-    PipelineOptions options = base_campaign().pipeline;
-    options.compiled = hifi::CompiledExec::CrossCheck;
-    hifi::compiled_test_force_mismatch(true);
-    Pipeline pipeline(options);
-    const PipelineStats &stats = pipeline.run();
-    hifi::compiled_test_force_mismatch(false);
-
-    // Every test's Hi-Fi run diverges; each is quarantined as
-    // CodegenMismatch and the sweep still completes.
-    EXPECT_EQ(stats.tests_executed, 0u);
-    EXPECT_GT(stats.test_programs, 0u);
-    EXPECT_EQ(stats.quarantine.count(
-                  support::FaultClass::CodegenMismatch),
-              stats.test_programs);
-}
-
 TEST(CompiledPipeline, StaleTableRefused)
 {
     PipelineOptions options = base_campaign().pipeline;
-    options.compiled = hifi::CompiledExec::On;
+    options.compiled = true;
     hifi::compiled_test_override_hash(~u64{0});
     Pipeline pipeline(options);
     const PipelineStats &stats = pipeline.run();
@@ -196,13 +173,9 @@ TEST(CompiledPipeline, FingerprintSeparatesModes)
 {
     PipelineOptions options;
     const u64 off = options_fingerprint(options);
-    options.compiled = hifi::CompiledExec::On;
+    options.compiled = true;
     const u64 on = options_fingerprint(options);
-    options.compiled = hifi::CompiledExec::CrossCheck;
-    const u64 crosscheck = options_fingerprint(options);
     EXPECT_NE(off, on);
-    EXPECT_NE(on, crosscheck);
-    EXPECT_NE(off, crosscheck);
 }
 
 } // namespace

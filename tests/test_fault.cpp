@@ -392,9 +392,61 @@ TEST(Checkpoint, OldVersionRefusedByName)
         const std::string what = e.what();
         EXPECT_NE(what.find("pokeemu-checkpoint-v2"), std::string::npos)
             << what;
-        EXPECT_NE(what.find("pokeemu-checkpoint-v5"), std::string::npos)
+        EXPECT_NE(what.find("pokeemu-checkpoint-v6"), std::string::npos)
             << what;
     }
+}
+
+TEST(Checkpoint, CodegenMismatchQuarantineRoundTrips)
+{
+    // The last fault class must load back: a campaign whose ledger
+    // holds a stale-table quarantine has to be resumable.
+    Checkpoint cp = sample_checkpoint();
+    cp.quarantine.add(Stage::Execution, "test 4",
+                      FaultClass::CodegenMismatch,
+                      "compiled semantics table is stale");
+    std::stringstream ss;
+    save_checkpoint(ss, cp);
+    const Checkpoint back = load_checkpoint(ss);
+    ASSERT_EQ(back.quarantine.total(), 1u);
+    EXPECT_TRUE(back.quarantine.contains(
+        Stage::Execution, "test 4", FaultClass::CodegenMismatch,
+        "compiled semantics table is stale"));
+}
+
+TEST(Checkpoint, QuarantineRowPastTheLastStageOrClassRefused)
+{
+    const unsigned last_stage = static_cast<unsigned>(support::kLastStage);
+    const unsigned last_class =
+        static_cast<unsigned>(support::kLastFaultClass);
+    // kLast* name the final enumerators: each has a name, the value
+    // after it has none.
+    EXPECT_STRNE(support::stage_name(support::kLastStage), "?");
+    EXPECT_STREQ(support::stage_name(static_cast<Stage>(last_stage + 1)),
+                 "?");
+    EXPECT_STRNE(support::fault_class_name(support::kLastFaultClass),
+                 "?");
+    EXPECT_STREQ(support::fault_class_name(
+                     static_cast<FaultClass>(last_class + 1)),
+                 "?");
+
+    // A checkpoint whose one ledger row is (stage, cls).
+    const auto with_row = [](unsigned stage, unsigned cls) {
+        std::stringstream ss;
+        save_checkpoint(ss, Checkpoint{});
+        std::string text = ss.str();
+        const std::string none = "quarantined 0\n";
+        text.replace(text.find(none), none.size(),
+                     "quarantined 1\nq " + std::to_string(stage) + " " +
+                         std::to_string(cls) + " - -\n");
+        return text;
+    };
+    std::istringstream last(with_row(last_stage, last_class));
+    EXPECT_EQ(load_checkpoint(last).quarantine.total(), 1u);
+    std::istringstream bad_class(with_row(last_stage, last_class + 1));
+    EXPECT_THROW(load_checkpoint(bad_class), std::logic_error);
+    std::istringstream bad_stage(with_row(last_stage + 1, last_class));
+    EXPECT_THROW(load_checkpoint(bad_stage), std::logic_error);
 }
 
 TEST(Checkpoint, MissingFileIsNotAnError)

@@ -1,7 +1,7 @@
 /**
  * @file
  * IR optimizer and translation-validator tests (analysis/optimize.h,
- * analysis/equiv.h) plus the pipeline/campaign OptMode invariants:
+ * analysis/equiv.h):
  *
  *  - pass-level unit tests over hand-built programs (branch folding,
  *    copy propagation, dead code, preserved fault behavior);
@@ -11,11 +11,11 @@
  *  - validator positive/negative tests, including a hand-miscompiled
  *    program that must yield a concrete counterexample;
  *  - Report::sort() canonical-order regression (byte-stable output);
- *  - checkpoint v4 round-trip of the optimizer columns;
- *  - OptMode::Validated produces the same tests and difference
- *    clusters as Off (the stage-2 test-identity invariant), and the
- *    sharded campaign report stays byte-identical with the optimizer
- *    enabled.
+ *  - checkpoint formats older than v4 are refused.
+ *
+ * The optimizer is not a pipeline mode: every unit is proven by the
+ * ir_equiv_all CI check, and only the compiled handlers run optimized
+ * programs.
  */
 #include <algorithm>
 #include <map>
@@ -471,39 +471,8 @@ TEST(ReportSort, CanonicalOrderIsInsertionIndependent)
 }
 
 // ---------------------------------------------------------------------
-// Satellite 3 (persistence half): checkpoint v4 optimizer columns.
+// Checkpoint formats from before the optimizer columns are refused.
 // ---------------------------------------------------------------------
-
-TEST(CheckpointV4, OptimizerColumnsRoundTrip)
-{
-    Checkpoint cp;
-    cp.fingerprint = 0x1234;
-    CheckpointUnit proven;
-    proven.table_index = 3;
-    proven.complete = true;
-    proven.stmts_before = 100;
-    proven.stmts_after = 61;
-    proven.opt_validated = true;
-    CheckpointUnit fallen;
-    fallen.table_index = 4;
-    fallen.complete = true;
-    fallen.stmts_before = 80;
-    fallen.stmts_after = 55;
-    fallen.opt_fallback = true;
-    cp.explored = {proven, fallen};
-
-    std::stringstream ss;
-    save_checkpoint(ss, cp);
-    const Checkpoint back = load_checkpoint(ss);
-    ASSERT_EQ(back.explored.size(), 2u);
-    EXPECT_EQ(back.explored[0].stmts_before, 100u);
-    EXPECT_EQ(back.explored[0].stmts_after, 61u);
-    EXPECT_TRUE(back.explored[0].opt_validated);
-    EXPECT_FALSE(back.explored[0].opt_fallback);
-    EXPECT_EQ(back.explored[1].stmts_before, 80u);
-    EXPECT_FALSE(back.explored[1].opt_validated);
-    EXPECT_TRUE(back.explored[1].opt_fallback);
-}
 
 TEST(CheckpointV4, OlderFormatsAreRefusedByName)
 {
@@ -512,102 +481,6 @@ TEST(CheckpointV4, OlderFormatsAreRefusedByName)
           "pokeemu-checkpoint-v3"}) {
         std::istringstream in(std::string(magic) + "\n");
         EXPECT_THROW(load_checkpoint(in), std::logic_error) << magic;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Pipeline and campaign OptMode invariants.
-// ---------------------------------------------------------------------
-
-PipelineOptions
-small_pipeline()
-{
-    PipelineOptions options;
-    options.instruction_filter = {
-        index_of({0x50}),       // push eax
-        index_of({0x74, 0x00}), // jz
-        index_of({0xd3, 0xe0}), // shl eax, cl
-    };
-    options.max_paths_per_insn = 8;
-    return options;
-}
-
-TEST(PipelineOpt, ValidatedModeKeepsTestsAndClustersIdentical)
-{
-    Pipeline off(small_pipeline());
-    off.run();
-
-    PipelineOptions vopt = small_pipeline();
-    vopt.opt = analysis::OptMode::Validated;
-    Pipeline validated(vopt);
-    validated.run();
-
-    // Stage-2 test identity: same tests, byte for byte.
-    ASSERT_EQ(validated.tests().size(), off.tests().size());
-    for (std::size_t i = 0; i < off.tests().size(); ++i) {
-        const GeneratedTest &a = off.tests()[i];
-        const GeneratedTest &b = validated.tests()[i];
-        EXPECT_EQ(a.id, b.id);
-        EXPECT_EQ(a.table_index, b.table_index);
-        EXPECT_EQ(a.halt_code, b.halt_code);
-        EXPECT_EQ(a.program.code, b.program.code) << "test " << i;
-    }
-
-    // Stage-4/5 outcomes identical: replaying proven-equivalent IR
-    // cannot move any diff or cluster.
-    const PipelineStats &so = off.stats();
-    const PipelineStats &sv = validated.stats();
-    EXPECT_EQ(sv.total_paths, so.total_paths);
-    EXPECT_EQ(sv.tests_executed, so.tests_executed);
-    EXPECT_EQ(sv.lofi_raw_diffs, so.lofi_raw_diffs);
-    EXPECT_EQ(sv.hifi_raw_diffs, so.hifi_raw_diffs);
-    EXPECT_EQ(sv.lofi_diffs, so.lofi_diffs);
-    EXPECT_EQ(sv.hifi_diffs, so.hifi_diffs);
-    EXPECT_EQ(sv.lofi_clusters.to_string(),
-              so.lofi_clusters.to_string());
-    EXPECT_EQ(sv.hifi_clusters.to_string(),
-              so.hifi_clusters.to_string());
-
-    // Off records nothing; Validated proves every unit.
-    EXPECT_EQ(so.opt_stmts_before, 0u);
-    EXPECT_EQ(so.opt_stmts_after, 0u);
-    EXPECT_GT(sv.opt_stmts_before, sv.opt_stmts_after);
-    // Every exhaustively explored unit is provable; a path-capped unit
-    // (jz here) validates without the `proven` upgrade but must not
-    // fail or fall back either.
-    EXPECT_GT(sv.opt_units_validated, 0u);
-    EXPECT_EQ(sv.opt_units_validated, sv.instructions_complete);
-    EXPECT_EQ(sv.opt_validation_failures, 0u);
-    EXPECT_EQ(sv.quarantine.total(), 0u);
-}
-
-TEST(PipelineOpt, OptModeIsPartOfTheOptionsFingerprint)
-{
-    PipelineOptions off = small_pipeline();
-    PipelineOptions on = small_pipeline();
-    on.opt = analysis::OptMode::On;
-    PipelineOptions validated = small_pipeline();
-    validated.opt = analysis::OptMode::Validated;
-    EXPECT_NE(options_fingerprint(off), options_fingerprint(on));
-    EXPECT_NE(options_fingerprint(on),
-              options_fingerprint(validated));
-}
-
-TEST(CampaignOpt, MergedReportByteIdenticalAcrossShardCounts)
-{
-    CampaignOptions options;
-    options.pipeline = small_pipeline();
-    options.pipeline.opt = analysis::OptMode::Validated;
-    const std::string reference = run_campaign(options).report();
-    EXPECT_NE(reference.find("IR optimizer:"), std::string::npos);
-
-    for (u32 shards : {2u, 4u}) {
-        CampaignOptions sharded = options;
-        sharded.shards = shards;
-        const CampaignResult result = run_campaign(sharded);
-        EXPECT_TRUE(result.complete);
-        EXPECT_EQ(result.report(), reference)
-            << "shards=" << shards;
     }
 }
 

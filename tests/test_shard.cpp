@@ -114,6 +114,29 @@ TEST(Campaign, SequentialSchedulingMatchesParallel)
     EXPECT_EQ(result.report(), reference_report());
 }
 
+TEST(Campaign, MergedStatsCarryStageTimings)
+{
+    const CampaignResult one = run_campaign(base_campaign());
+    EXPECT_GT(one.merged.t_state_exploration, 0.0);
+    EXPECT_GT(one.merged.t_execution_hifi, 0.0);
+    // Timings stay out of the report.
+    EXPECT_EQ(one.report(), reference_report());
+
+    // With several shards each stage's time is the sum over shards.
+    CampaignOptions options = base_campaign();
+    options.shards = 2;
+    const CampaignResult two = run_campaign(options);
+    double generation = 0;
+    double comparison = 0;
+    for (const ShardOutcome &o : two.outcomes) {
+        generation += o.stats.t_generation;
+        comparison += o.stats.t_comparison;
+    }
+    EXPECT_DOUBLE_EQ(two.merged.t_generation, generation);
+    EXPECT_DOUBLE_EQ(two.merged.t_comparison, comparison);
+    EXPECT_EQ(two.report(), reference_report());
+}
+
 TEST(Campaign, MergedCheckpointRenumbersTestsSequentially)
 {
     CampaignOptions options = base_campaign();

@@ -44,15 +44,8 @@ usage(const char *argv0)
                  "  --max-paths N         per-instruction path cap\n"
                  "  --schedule P          path-order policy: pathcover,\n"
                  "                        frontier (default) or default\n"
-                 "  --opt M               IR optimizer: off (default),\n"
-                 "                        on, or validated (prove each\n"
-                 "                        unit's optimization with the\n"
-                 "                        solver)\n"
                  "  --compiled M          compiled-semantics replay:\n"
-                 "                        off (default), on, or\n"
-                 "                        crosscheck (run handler and\n"
-                 "                        interpreter, quarantine any\n"
-                 "                        divergence)\n"
+                 "                        off (default) or on\n"
                  "  --timing M            cycle-fidelity model: off\n"
                  "                        (default) or on (charge\n"
                  "                        cycles on every backend and\n"
@@ -196,31 +189,14 @@ main(int argc, char **argv)
                              "default)\n");
                 return 2;
             }
-        } else if (arg == "--opt") {
-            const std::string mode = value();
-            if (mode == "off") {
-                options.pipeline.opt = analysis::OptMode::Off;
-            } else if (mode == "on") {
-                options.pipeline.opt = analysis::OptMode::On;
-            } else if (mode == "validated") {
-                options.pipeline.opt = analysis::OptMode::Validated;
-            } else {
-                std::fprintf(stderr,
-                             "bad --opt (want off|on|validated)\n");
-                return 2;
-            }
         } else if (arg == "--compiled") {
             const std::string mode = value();
             if (mode == "off") {
-                options.pipeline.compiled = hifi::CompiledExec::Off;
+                options.pipeline.compiled = false;
             } else if (mode == "on") {
-                options.pipeline.compiled = hifi::CompiledExec::On;
-            } else if (mode == "crosscheck") {
-                options.pipeline.compiled =
-                    hifi::CompiledExec::CrossCheck;
+                options.pipeline.compiled = true;
             } else {
-                std::fprintf(
-                    stderr, "bad --compiled (want off|on|crosscheck)\n");
+                std::fprintf(stderr, "bad --compiled (want off|on)\n");
                 return 2;
             }
         } else if (arg == "--timing") {
